@@ -4,13 +4,8 @@
  * per second for representative workload classes, plus the cost of
  * the analysis kernels (PCA, clustering). These guard against
  * performance regressions in the hot paths every figure reproduction
- * depends on.
- *
- * Two frontends share the measurement bodies:
- *  - the harness registration (`sim_throughput`) feeds the SIM-01..03
- *    and ANA-01/02 CI gates through netchar_bench;
- *  - the standalone binary keeps the google-benchmark driver, whose
- *    adaptive iteration counts are better for interactive profiling.
+ * depends on. The registration feeds the SIM-01..03 and ANA-01/02 CI
+ * gates through netchar_bench.
  */
 
 #include "harness.hh"
@@ -104,93 +99,4 @@ NETCHAR_BENCH_REPEATS(sim_throughput,
                "Minstr/s\n",
                dotnet, aspnet, spec);
 }
-// No NETCHAR_BENCH_MAIN here: the standalone binary's entry point is
-// google-benchmark's BENCHMARK_MAIN below.
-
-#ifndef NETCHAR_BENCH_COMBINED
-
-// The standalone binary keeps the google-benchmark frontend; the
-// combined netchar_bench driver only links the harness registration
-// above (benchmark's main symbol would collide with the driver's).
-
-#include <benchmark/benchmark.h>
-
-namespace
-{
-
-void
-simulateWorkload(benchmark::State &state, const char *name)
-{
-    auto profile = *wl::findProfile(name);
-    sim::Machine machine(sim::MachineConfig::intelCoreI99980Xe());
-    wl::SynthWorkload workload(profile, 1);
-    // Warm structures so steady-state throughput is measured.
-    workload.run(machine.core(0), 200'000);
-    for (auto _ : state)
-        workload.run(machine.core(0), 100'000);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 100'000);
-}
-
-void
-BM_SimulateDotnetMicro(benchmark::State &state)
-{
-    simulateWorkload(state, "System.Runtime");
-}
-
-void
-BM_SimulateAspnetServer(benchmark::State &state)
-{
-    simulateWorkload(state, "Plaintext");
-}
-
-void
-BM_SimulateSpecMemoryBound(benchmark::State &state)
-{
-    simulateWorkload(state, "mcf");
-}
-
-void
-BM_PcaOverCorpus(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    stats::Rng rng(7);
-    stats::Matrix data(n, kNumMetrics);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < kNumMetrics; ++c)
-            data(r, c) = rng.uniform(0.0, 10.0);
-    for (auto _ : state) {
-        auto pca = stats::runPca(data, {.components = 4,
-                                        .standardize = true});
-        benchmark::DoNotOptimize(pca.scores);
-    }
-}
-
-void
-BM_ClusterCorpus(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    stats::Rng rng(9);
-    stats::Matrix scores(n, 4);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < 4; ++c)
-            scores(r, c) = rng.uniform(-3.0, 3.0);
-    for (auto _ : state) {
-        auto dg = stats::hierarchicalCluster(scores);
-        benchmark::DoNotOptimize(dg.nodes);
-    }
-}
-
-BENCHMARK(BM_SimulateDotnetMicro)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimulateAspnetServer)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimulateSpecMemoryBound)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PcaOverCorpus)->Arg(44)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ClusterCorpus)->Arg(44)->Arg(512)->Arg(2906)
-    ->Unit(benchmark::kMillisecond);
-
-} // namespace
-
-BENCHMARK_MAIN();
-
-#endif // NETCHAR_BENCH_COMBINED
+NETCHAR_BENCH_MAIN(sim_throughput)

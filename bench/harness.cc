@@ -872,17 +872,6 @@ ciGates()
          "timers) must be invisible on the uncontended fast path: "
          "overload protection that taxes normal serving would just "
          "move the overload"},
-        {"LNT-01", "lint_overhead", "concurrency_ratio",
-         GateKind::MaxAbsolute, 2.0, 0,
-         "the CFG/lockset concurrency pass must stay within 2x of "
-         "taint-only lint, or build-time race detection gets "
-         "dropped from the default CI lint step"},
-        {"LNT-02", "lint_overhead", "warm_over_cold_frac",
-         GateKind::MaxAbsolute, 0.5, 0,
-         "a warm --cache run over an unchanged tree must cost at "
-         "most half a cold run; if hashing plus cache bookkeeping "
-         "approaches re-analysis cost, persisting the lint cache "
-         "in CI is pure overhead"},
     };
     return gates;
 }

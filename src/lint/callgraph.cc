@@ -1,7 +1,5 @@
 #include "lint/callgraph.hh"
 
-#include <algorithm>
-
 namespace netchar::lint
 {
 
@@ -33,32 +31,16 @@ CallGraph::CallGraph(const std::vector<FileModel> &files)
                 fn.qualified.empty() ? fn.name : fn.qualified);
         }
     }
-    // Second pass, once every definition is known: caller edges and
-    // the resolved/unresolved link statistics.
-    for (std::size_t fi = 0; fi < files.size(); ++fi) {
-        const FileModel &file = files[fi];
-        for (std::size_t gi = 0; gi < file.functions.size(); ++gi)
-            for (const Statement &st : file.functions[gi].stmts)
+    // Second pass, once every definition is known: the
+    // resolved/unresolved link statistics.
+    for (const FileModel &file : files)
+        for (const FunctionModel &fn : file.functions)
+            for (const Statement &st : fn.stmts)
                 for (const CallSite &call : st.calls) {
-                    callers_[call.callee].push_back({fi, gi});
                     ++stats_.callSites;
                     if (resolve(call).empty())
                         ++stats_.unresolvedCalls;
                 }
-    }
-    // A function calling `f` twice is one caller edge.
-    for (auto &[name, refs] : callers_) {
-        std::sort(refs.begin(), refs.end());
-        refs.erase(std::unique(refs.begin(), refs.end()),
-                   refs.end());
-    }
-}
-
-const std::vector<FunctionRef> &
-CallGraph::definitionsOf(const std::string &name) const
-{
-    const auto it = defs_.find(name);
-    return it == defs_.end() ? empty_ : it->second;
 }
 
 std::vector<FunctionRef>
@@ -81,13 +63,6 @@ CallGraph::resolve(const CallSite &call) const
     // of them textually; keep the conservative bare-name link set
     // rather than dropping the edge.
     return out.empty() ? all : out;
-}
-
-const std::vector<FunctionRef> &
-CallGraph::callersOf(const std::string &name) const
-{
-    const auto it = callers_.find(name);
-    return it == callers_.end() ? empty_ : it->second;
 }
 
 } // namespace netchar::lint

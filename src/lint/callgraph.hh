@@ -42,18 +42,9 @@ struct FunctionRef
 {
     std::size_t file = 0;
     std::size_t fn = 0;
-
-    bool operator==(const FunctionRef &o) const
-    {
-        return file == o.file && fn == o.fn;
-    }
-    bool operator<(const FunctionRef &o) const
-    {
-        return file != o.file ? file < o.file : fn < o.fn;
-    }
 };
 
-/** Link statistics, surfaced in the JSON report (schema v3): how
+/** Link statistics, surfaced in the JSON `callGraph` object: how
  *  many call sites exist and how many failed to link to any
  *  definition in the analyzed set. */
 struct CallGraphStats
@@ -62,15 +53,11 @@ struct CallGraphStats
     std::size_t unresolvedCalls = 0;
 };
 
-/** Name → definitions and name → callers, over a parsed file set. */
+/** Name → definitions, over a parsed file set. */
 class CallGraph
 {
   public:
     explicit CallGraph(const std::vector<FileModel> &files);
-
-    /** Definitions of `name`, in file order (empty when unknown). */
-    const std::vector<FunctionRef> &
-    definitionsOf(const std::string &name) const;
 
     /**
      * Definitions a call site can reach, in file order. A call
@@ -82,18 +69,12 @@ class CallGraph
      */
     std::vector<FunctionRef> resolve(const CallSite &call) const;
 
-    /** Functions containing a call to `name`, in file order. */
-    const std::vector<FunctionRef> &
-    callersOf(const std::string &name) const;
-
     const CallGraphStats &stats() const { return stats_; }
 
   private:
     std::map<std::string, std::vector<FunctionRef>> defs_;
     /** Qualified spelling of each definition, parallel to defs_. */
     std::map<std::string, std::vector<std::string>> defQualified_;
-    std::map<std::string, std::vector<FunctionRef>> callers_;
-    std::vector<FunctionRef> empty_;
     CallGraphStats stats_;
 };
 

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "lint/concurrency.hh"
+#include "lint/callgraph.hh"
 #include "lint/parser.hh"
 #include "lint/taint.hh"
 #include "stats/textio.hh"
@@ -100,7 +100,7 @@ sortFindings(std::vector<Finding> &findings)
  */
 void
 applyPragmas(const std::string &path, const LexedFile &lexed,
-             std::vector<Finding> &found, FileUnit &unit)
+             std::vector<Finding> &found, LintResult &result)
 {
     struct Suppression
     {
@@ -119,7 +119,7 @@ applyPragmas(const std::string &path, const LexedFile &lexed,
             f.rule = "bad-pragma";
             f.severity = Severity::Error;
             f.message = pragma.error;
-            unit.findings.push_back(std::move(f));
+            result.findings.push_back(std::move(f));
             continue;
         }
         for (const std::string &rule : pragma.rules) {
@@ -134,12 +134,11 @@ applyPragmas(const std::string &path, const LexedFile &lexed,
                     f.message = "allow-flow() names unknown flow "
                                 "rule '" +
                                 rule + "'";
-                    unit.findings.push_back(std::move(f));
+                    result.findings.push_back(std::move(f));
                 }
                 continue;
             }
-            if (!isRuleName(rule) &&
-                !isConcurrencyRuleName(rule)) {
+            if (!isRuleName(rule)) {
                 Finding f;
                 f.file = path;
                 f.line = pragma.line;
@@ -148,7 +147,7 @@ applyPragmas(const std::string &path, const LexedFile &lexed,
                 f.severity = Severity::Error;
                 f.message =
                     "allow() names unknown rule '" + rule + "'";
-                unit.findings.push_back(std::move(f));
+                result.findings.push_back(std::move(f));
                 continue;
             }
             active.push_back({pragma.line, pragma.endLine, rule});
@@ -164,9 +163,9 @@ applyPragmas(const std::string &path, const LexedFile &lexed,
                 break;
             }
         if (suppressed)
-            ++unit.suppressed;
+            ++result.suppressedCount;
         else
-            unit.findings.push_back(std::move(f));
+            result.findings.push_back(std::move(f));
     }
 }
 
@@ -181,92 +180,23 @@ LintResult::hasError() const
     return false;
 }
 
-FileUnit
-analyzeFileUnit(const std::string &path, std::string_view content)
-{
-    using clock = std::chrono::steady_clock;
-    FileUnit unit;
-    const clock::time_point t0 = clock::now();
-    LexedFile lexed = lex(content);
-    const clock::time_point t1 = clock::now();
-    std::vector<Finding> found;
-    for (const auto &rule : allRules())
-        if (rule->appliesTo(path))
-            rule->check(path, lexed, found);
-    applyPragmas(path, lexed, found, unit);
-    const clock::time_point t2 = clock::now();
-    unit.model = parseFile(path, std::move(lexed));
-    const clock::time_point t3 = clock::now();
-    unit.lexSeconds = secondsBetween(t0, t1);
-    unit.rulesSeconds = secondsBetween(t1, t2);
-    unit.parseSeconds = secondsBetween(t2, t3);
-    return unit;
-}
-
-LintResult
-assembleUnits(std::vector<FileUnit> units, const LintOptions &opts,
-              AssembleTimes *times)
-{
-    using clock = std::chrono::steady_clock;
-    LintResult result;
-    result.filesScanned = units.size();
-    for (FileUnit &unit : units) {
-        for (Finding &f : unit.findings)
-            result.findings.push_back(std::move(f));
-        result.suppressedCount += unit.suppressed;
-    }
-
-    const bool crossFile = opts.taint || opts.concurrency;
-    if (crossFile) {
-        std::vector<FileModel> models;
-        models.reserve(units.size());
-        for (FileUnit &unit : units)
-            models.push_back(std::move(unit.model));
-        const clock::time_point t0 = clock::now();
-        // One call graph and one summary set feed both cross-file
-        // passes; their statistics surface in the schema-v4 report
-        // either way.
-        const CallGraph graph(models);
-        const SummarySet sums = computeSummaries(models, graph);
-        result.callSites = graph.stats().callSites;
-        result.unresolvedCalls = graph.stats().unresolvedCalls;
-        result.summaries = sums.stats();
-        if (opts.taint) {
-            TaintAnalysis taint = analyzeTaint(models, graph, sums);
-            for (Finding &f : taint.flows)
-                result.findings.push_back(std::move(f));
-            result.suppressedCount += taint.suppressed;
-        }
-        if (opts.concurrency) {
-            ConcurrencyAnalysis conc =
-                analyzeConcurrency(models, graph, sums);
-            for (Finding &f : conc.findings)
-                result.findings.push_back(std::move(f));
-            result.suppressedCount += conc.suppressed;
-            result.escapedFunctions = conc.escapedFunctions;
-        }
-        if (times != nullptr)
-            times->summarySeconds +=
-                secondsBetween(t0, clock::now());
-    }
-
-    sortFindings(result.findings);
-    return result;
-}
-
 LintResult
 lintSource(const std::string &path, std::string_view content)
 {
     LintOptions opts;
     opts.taint = false;
-    opts.concurrency = false;
     return lintSources({{path, std::string(content)}}, opts);
 }
 
 LintResult
 lintSources(std::vector<SourceBuffer> sources,
-            const LintOptions &opts)
+            const LintOptions &opts, LintStats *stats)
 {
+    using clock = std::chrono::steady_clock;
+    LintStats local;
+    LintStats &st = stats != nullptr ? *stats : local;
+    st = LintStats{};
+
     // Sorted-path order, so the taint worklist (and through it the
     // report bytes) never depends on the order the caller found
     // the files in.
@@ -275,11 +205,44 @@ lintSources(std::vector<SourceBuffer> sources,
                   return a.path < b.path;
               });
 
-    std::vector<FileUnit> units;
-    units.reserve(sources.size());
-    for (const SourceBuffer &src : sources)
-        units.push_back(analyzeFileUnit(src.path, src.content));
-    return assembleUnits(std::move(units), opts);
+    LintResult result;
+    result.filesScanned = sources.size();
+    std::vector<FileModel> models;
+    models.reserve(sources.size());
+    for (const SourceBuffer &src : sources) {
+        const clock::time_point t0 = clock::now();
+        LexedFile lexed = lex(src.content);
+        const clock::time_point t1 = clock::now();
+        std::vector<Finding> found;
+        for (const auto &rule : allRules())
+            if (rule->appliesTo(src.path))
+                rule->check(src.path, lexed, found);
+        applyPragmas(src.path, lexed, found, result);
+        const clock::time_point t2 = clock::now();
+        if (opts.taint)
+            models.push_back(parseFile(src.path, std::move(lexed)));
+        const clock::time_point t3 = clock::now();
+        st.lexSeconds += secondsBetween(t0, t1);
+        st.rulesSeconds += secondsBetween(t1, t2);
+        st.parseSeconds += secondsBetween(t2, t3);
+    }
+
+    if (opts.taint) {
+        const clock::time_point t0 = clock::now();
+        const CallGraph graph(models);
+        const SummarySet sums = computeSummaries(models, graph);
+        result.callSites = graph.stats().callSites;
+        result.unresolvedCalls = graph.stats().unresolvedCalls;
+        result.summaries = sums.stats();
+        TaintAnalysis taint = analyzeTaint(models, graph, sums);
+        for (Finding &f : taint.flows)
+            result.findings.push_back(std::move(f));
+        result.suppressedCount += taint.suppressed;
+        st.summarySeconds = secondsBetween(t0, clock::now());
+    }
+
+    sortFindings(result.findings);
+    return result;
 }
 
 std::vector<std::string>
@@ -336,7 +299,8 @@ discoverFiles(const std::vector<std::string> &paths,
 
 LintResult
 lintPaths(const std::vector<std::string> &paths,
-          std::vector<std::string> &errors, const LintOptions &opts)
+          std::vector<std::string> &errors, const LintOptions &opts,
+          LintStats *stats)
 {
     const std::vector<std::string> files =
         discoverFiles(paths, errors);
@@ -352,7 +316,7 @@ lintPaths(const std::vector<std::string> &paths,
         buf << in.rdbuf();
         sources.push_back({file, buf.str()});
     }
-    return lintSources(std::move(sources), opts);
+    return lintSources(std::move(sources), opts, stats);
 }
 
 std::string
@@ -395,7 +359,7 @@ renderJson(const LintResult &result, const LintStats *stats)
         else
             ++nwarning;
     }
-    out << "{\n  \"version\": 4,\n  \"filesScanned\": "
+    out << "{\n  \"version\": 5,\n  \"filesScanned\": "
         << result.filesScanned
         << ",\n  \"suppressed\": " << result.suppressedCount
         << ",\n  \"counts\": {\"error\": " << nerror
@@ -403,7 +367,6 @@ renderJson(const LintResult &result, const LintStats *stats)
         << "},\n  \"callGraph\": {\"callSites\": "
         << result.callSites
         << ", \"unresolvedCalls\": " << result.unresolvedCalls
-        << ", \"escapedFunctions\": " << result.escapedFunctions
         << "},\n  \"summaries\": {\"functions\": "
         << result.summaries.functions
         << ", \"sccs\": " << result.summaries.sccs
@@ -414,21 +377,13 @@ renderJson(const LintResult &result, const LintStats *stats)
         << ", \"paramReturnFlows\": "
         << result.summaries.paramReturnFlows
         << ", \"paramSinkFlows\": "
-        << result.summaries.paramSinkFlows
-        << ", \"lockEffects\": " << result.summaries.lockEffects
-        << "}";
+        << result.summaries.paramSinkFlows << "}";
     if (stats != nullptr)
         out << ",\n  \"stats\": {\"lexSeconds\": "
             << stats->lexSeconds
             << ", \"parseSeconds\": " << stats->parseSeconds
             << ", \"rulesSeconds\": " << stats->rulesSeconds
             << ", \"summarySeconds\": " << stats->summarySeconds
-            << ", \"filesAnalyzed\": " << stats->filesAnalyzed
-            << ", \"cacheHits\": " << stats->cacheHits
-            << ", \"cacheMisses\": " << stats->cacheMisses
-            << ", \"cacheInvalidations\": "
-            << stats->cacheInvalidations
-            << ", \"reportCacheHits\": " << stats->reportCacheHits
             << "}";
     out << ",\n  \"findings\": [";
     bool first = true;
@@ -464,25 +419,6 @@ renderJson(const LintResult &result, const LintStats *stats)
         out << (firstHop ? "]}" : "\n    ]}");
         first = false;
     }
-    out << (first ? "]" : "\n  ]") << ",\n  \"locksets\": [";
-    first = true;
-    for (const Finding &f : result.findings) {
-        if (!isConcurrencyRuleName(f.rule))
-            continue;
-        out << (first ? "\n" : ",\n")
-            << "    {\"rule\": \"" << jsonEscape(f.rule)
-            << "\", \"file\": \"" << jsonEscape(f.file)
-            << "\", \"line\": " << f.line << ", \"function\": \""
-            << jsonEscape(f.function) << "\", \"held\": [";
-        bool firstHeld = true;
-        for (const std::string &r : f.lockset) {
-            out << (firstHeld ? "" : ", ") << '"' << jsonEscape(r)
-                << '"';
-            firstHeld = false;
-        }
-        out << "]}";
-        first = false;
-    }
     out << (first ? "]\n}\n" : "\n  ]\n}\n");
     return out.str();
 }
@@ -495,12 +431,7 @@ renderStatsText(const LintStats &stats)
         << "  lex       " << stats.lexSeconds << "s\n"
         << "  parse     " << stats.parseSeconds << "s\n"
         << "  rules     " << stats.rulesSeconds << "s\n"
-        << "  summaries " << stats.summarySeconds << "s\n"
-        << "  files analyzed: " << stats.filesAnalyzed << '\n'
-        << "  cache: " << stats.cacheHits << " hit(s), "
-        << stats.cacheMisses << " miss(es), "
-        << stats.cacheInvalidations << " invalidation(s), "
-        << stats.reportCacheHits << " report hit(s)\n";
+        << "  summaries " << stats.summarySeconds << "s\n";
     return out.str();
 }
 
@@ -516,10 +447,6 @@ listRulesText()
            "unknown rule\n";
     for (const std::string_view fr : flowRuleNames())
         out << fr << " (error): " << flowRuleSummary(fr) << '\n';
-    for (const std::string_view cr : concurrencyRuleNames())
-        out << cr << " ("
-            << severityName(concurrencyRuleSeverity(cr))
-            << "): " << concurrencyRuleSummary(cr) << '\n';
     return out.str();
 }
 

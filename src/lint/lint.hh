@@ -1,34 +1,23 @@
 /**
  * @file
- * netchar-lint driver: file discovery, pragma suppression, taint
- * analysis and deterministic report rendering.
+ * netchar-lint entry points: file discovery, pragma suppression,
+ * taint analysis and deterministic report rendering.
  *
  * Determinism is a feature of the linter itself, not just what it
  * checks: discovered files are sorted lexicographically (never the
  * directory enumeration order), findings are sorted by
  * (file, line, column, rule), and the text, JSON and SARIF
  * renderings are pure functions of the sorted finding list —
- * repeated runs over an unchanged tree are byte-identical, at any
- * --jobs count and whether the analysis cache was cold or warm.
+ * repeated runs over an unchanged tree are byte-identical.
  *
- * Three analysis layers feed the same report:
+ * One serial pass feeds the report, in two layers:
  *  - token rules (rules.hh), checked per file,
  *  - the flow-aware taint pass (taint.hh), which parses every file
  *    into a declaration-level model, links them through the call
- *    graph and reports nondeterminism sources that reach the
- *    serialization surface, carrying the full source→…→sink path,
- *  - the CFG/lockset concurrency pass (concurrency.hh).
- * Both cross-file passes consume the per-function interprocedural
- * summaries of summary.hh, computed bottom-up over the call graph's
- * strongly connected components.
- *
- * The pipeline is split to support parallel and incremental
- * driving (driver.hh): analyzeFileUnit() does all the per-file work
- * (lex, token rules, pragma suppression, parse) and is a pure
- * function of (path, content) — safe to fan out over an executor
- * and to cache on a content hash — while assembleUnits() does the
- * cross-file work (call graph, summaries, taint, concurrency) and
- * the final deterministic sort.
+ *    graph, summarizes each function's taint transfer bottom-up
+ *    over the call graph's strongly connected components
+ *    (summary.hh) and reports nondeterminism sources that reach the
+ *    serialization surface, carrying the full source→…→sink path.
  *
  * Suppression contract: a token finding is dropped only when a
  * well-formed netchar-lint `allow(<rule>) -- <reason>` pragma
@@ -48,7 +37,6 @@
 #include <string_view>
 #include <vector>
 
-#include "lint/parser.hh"
 #include "lint/rules.hh"
 #include "lint/summary.hh"
 
@@ -62,18 +50,15 @@ struct LintResult
      *  Flow findings carry their source→…→sink path. */
     std::vector<Finding> findings;
     /** How many findings valid pragmas suppressed (token findings
-     *  plus sanitized flows and silenced concurrency findings). */
+     *  plus sanitized flows). */
     std::size_t suppressedCount = 0;
     std::size_t filesScanned = 0;
-    /** Call-graph link statistics (schema v3 `callGraph` object);
-     *  zero when neither cross-file pass ran. */
+    /** Call-graph link statistics (`callGraph` object); zero when
+     *  the taint pass did not run. */
     std::size_t callSites = 0;
     std::size_t unresolvedCalls = 0;
-    /** Functions the concurrency pass proved reachable from
-     *  executor task submissions. */
-    std::size_t escapedFunctions = 0;
-    /** Interprocedural summary statistics (schema v4 `summaries`
-     *  object); zero when neither cross-file pass ran. */
+    /** Interprocedural summary statistics (`summaries` object);
+     *  zero when the taint pass did not run. */
     SummaryStats summaries;
     /** True when any finding has Severity::Error. */
     bool hasError() const;
@@ -84,8 +69,6 @@ struct LintOptions
 {
     /** Run the flow-aware taint pass (on by default). */
     bool taint = true;
-    /** Run the CFG/lockset concurrency pass (on by default). */
-    bool concurrency = true;
 };
 
 /** One in-memory source buffer with the path it pretends to live
@@ -96,76 +79,17 @@ struct SourceBuffer
     std::string content;
 };
 
-/**
- * Everything the per-file phase produces for one source buffer: the
- * parsed declaration model plus the pragma-filtered token findings.
- * A FileUnit is a pure function of (path, content) — no analysis
- * option reaches the per-file phase — which is what makes it the
- * unit of both parallelism and content-hash caching (cache.hh).
- */
-struct FileUnit
-{
-    /** Declaration-level model; model.path names the file. */
-    FileModel model;
-    /** Token and bad-pragma findings that survived suppression. */
-    std::vector<Finding> findings;
-    /** Token findings a valid allow() pragma dropped. */
-    std::size_t suppressed = 0;
-    /** Per-phase wall time of this unit's analysis (zero when the
-     *  unit was loaded from cache rather than analyzed). */
-    double lexSeconds = 0;
-    double rulesSeconds = 0;
-    double parseSeconds = 0;
-};
-
-/** Wall time spent in assembleUnits' cross-file phase. */
-struct AssembleTimes
-{
-    /** Call graph + summaries + taint + concurrency, together. */
-    double summarySeconds = 0;
-};
-
-/** --stats payload: per-phase timing plus cache counters. Timings
- *  are nondeterministic by nature, so stats never appear in a
- *  report unless explicitly requested. */
+/** --stats payload: wall time per phase. Timings are
+ *  nondeterministic by nature, so stats never appear in a report
+ *  unless explicitly requested. */
 struct LintStats
 {
     double lexSeconds = 0;
     double parseSeconds = 0;
     double rulesSeconds = 0;
+    /** Call graph + summaries + taint, together. */
     double summarySeconds = 0;
-    /** Units freshly analyzed this run (≠ filesScanned when the
-     *  cache served the rest). */
-    std::size_t filesAnalyzed = 0;
-    /** Incremental-cache counters (driver.hh); all zero when the
-     *  run was uncached. */
-    std::size_t cacheHits = 0;
-    std::size_t cacheMisses = 0;
-    std::size_t cacheInvalidations = 0;
-    /** 1 when the whole report was served from the report-level
-     *  cache (no per-file or cross-file analysis ran at all). */
-    std::size_t reportCacheHits = 0;
 };
-
-/**
- * Run the per-file phase on one buffer: lex, token rules, pragma
- * validation and suppression, declaration parse. Thread-safe with
- * respect to other analyzeFileUnit calls — it touches only its
- * arguments and the immutable rule registry.
- */
-FileUnit analyzeFileUnit(const std::string &path,
-                         std::string_view content);
-
-/**
- * Run the cross-file phase and build the final report: merge unit
- * findings, build the call graph and interprocedural summaries,
- * run the taint and concurrency passes, sort. `units` must be in
- * sorted model.path order; the result is byte-deterministic given
- * that order. `times` (optional) receives phase wall time.
- */
-LintResult assembleUnits(std::vector<FileUnit> units,
-                         const LintOptions &opts = {},
-                         AssembleTimes *times = nullptr);
 
 /**
  * Expand files and directory trees into the sorted, de-duplicated
@@ -191,30 +115,32 @@ LintResult lintSource(const std::string &path,
  * Lint a set of in-memory buffers as one tree: token rules per
  * file, then (when `opts.taint`) the cross-file taint pass.
  * Buffers are processed in sorted-path order regardless of the
- * order given.
+ * order given. `stats` (optional) receives per-phase wall time.
  */
 LintResult lintSources(std::vector<SourceBuffer> sources,
-                       const LintOptions &opts = {});
+                       const LintOptions &opts = {},
+                       LintStats *stats = nullptr);
 
 /**
  * Lint files and directory trees (discoverFiles + lintSources).
+ * An unreadable file appends to `errors` and is otherwise skipped.
  */
 LintResult lintPaths(const std::vector<std::string> &paths,
                      std::vector<std::string> &errors,
-                     const LintOptions &opts = {});
+                     const LintOptions &opts = {},
+                     LintStats *stats = nullptr);
 
 /** Render `file:line: rule: message` lines (flow findings followed
  *  by their indented hop lines) plus a summary line. */
 std::string renderText(const LintResult &result);
 
 /**
- * Render the machine-readable JSON report (schema version 4: v2
- * added the `flows` array of taint paths; v3 the `callGraph` link
- * statistics and the `locksets` array; v4 the `summaries` object
- * of interprocedural summary statistics and — only when `stats` is
- * non-null — the `stats` object of per-phase timings and cache
- * counters). Without `stats` the rendering is a pure function of
- * the result, byte-identical across runs.
+ * Render the machine-readable JSON report (schema version 5: the
+ * `flows` array of taint paths, the `callGraph` link statistics,
+ * the `summaries` object of interprocedural summary statistics and
+ * — only when `stats` is non-null — the `stats` object of per-phase
+ * timings). Without `stats` the rendering is a pure function of the
+ * result, byte-identical across runs.
  */
 std::string renderJson(const LintResult &result,
                        const LintStats *stats = nullptr);
@@ -223,7 +149,7 @@ std::string renderJson(const LintResult &result,
 std::string renderStatsText(const LintStats &stats);
 
 /** One line per registered rule — token rules, the reserved
- *  bad-pragma rule, the flow rules, then the concurrency rules. */
+ *  bad-pragma rule, then the flow rules. */
 std::string listRulesText();
 
 } // namespace netchar::lint

@@ -82,17 +82,8 @@ struct FunctionModel
     /** The written qualified name (`Executor::forEach` for an
      *  out-of-class definition), equal to `name` when unqualified. */
     std::string qualified;
-    /** Last identifier of the return type when it is a plain word
-     *  (`bool`, `RunResult`); empty for pointers/templates/ctors.
-     *  Used by the concurrency pass to spot error-carrying calls. */
-    std::string retType;
     int line = 0;
     int column = 0;
-    /** Token indices of the body braces: `{` at bodyBegin, matching
-     *  `}` at bodyEnd. The CFG builder (cfg.hh) re-walks this range
-     *  because stmts flattens control structure away. */
-    std::size_t bodyBegin = 0;
-    std::size_t bodyEnd = 0;
     std::vector<std::string> params; ///< "" for unnamed parameters
     std::vector<Statement> stmts;
 };

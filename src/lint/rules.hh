@@ -67,11 +67,6 @@ struct Finding
     std::string message;
     /** Source→…→sink path; non-empty exactly for flow findings. */
     std::vector<FlowHop> path;
-    /** Concurrency findings only (concurrency.hh): the enclosing
-     *  function and the sorted must-held lockset at the finding
-     *  site, surfaced as the JSON `locksets` array. */
-    std::string function;
-    std::vector<std::string> lockset;
 };
 
 /** One lint rule: a name, a scope predicate and a token checker. */

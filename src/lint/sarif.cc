@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "lint/concurrency.hh"
 #include "lint/taint.hh"
 #include "stats/textio.hh"
 
@@ -78,9 +77,6 @@ renderSarif(const LintResult &result)
              "error");
     for (const std::string_view fr : flowRuleNames())
         emitRule(out, first, fr, flowRuleSummary(fr), "error");
-    for (const std::string_view cr : concurrencyRuleNames())
-        emitRule(out, first, cr, concurrencyRuleSummary(cr),
-                 severityName(concurrencyRuleSeverity(cr)));
 
     out << "\n          ]\n"
            "        }\n"

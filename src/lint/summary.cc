@@ -1,9 +1,8 @@
 #include "lint/summary.hh"
 
 #include <algorithm>
-#include <array>
+#include <set>
 
-#include "lint/cfg.hh"
 #include "lint/taint.hh"
 
 namespace netchar::lint
@@ -79,201 +78,6 @@ laundersPointer(const std::vector<Token> &toks, std::size_t open)
 }
 
 // ---------------------------------------------------------------
-// Lock-event extraction (the concurrency pass's vocabulary)
-// ---------------------------------------------------------------
-
-/** RAII guard types that sanction lock/unlock discipline. */
-constexpr std::array<std::string_view, 3> kGuardTypes = {
-    "lock_guard",
-    "scoped_lock",
-    "unique_lock",
-};
-
-bool
-contains(const auto &table, std::string_view text)
-{
-    for (const std::string_view t : table)
-        if (t == text)
-            return true;
-    return false;
-}
-
-/** Index of the `)` matching the `(` at `open`, or `limit`. */
-std::size_t
-matchParen(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], "("))
-            ++depth;
-        else if (isPunct(toks[j], ")")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return limit;
-}
-
-/** Index of the `}` matching the `{` at `open`, or `limit`. */
-std::size_t
-matchBrace(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        if (isPunct(toks[j], "{"))
-            ++depth;
-        else if (isPunct(toks[j], "}")) {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return limit;
-}
-
-/** Skip a balanced template argument list starting at `<`, or
- *  return `open` unchanged when it does not look like one. */
-std::size_t
-skipAngles(const std::vector<Token> &toks, std::size_t open,
-           std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < limit; ++j) {
-        const Token &t = toks[j];
-        if (isPunct(t, "<"))
-            ++depth;
-        else if (isPunct(t, ">")) {
-            if (--depth == 0)
-                return j + 1;
-        } else if (isPunct(t, ">>")) {
-            depth -= 2;
-            if (depth <= 0)
-                return j + 1;
-        } else if (isPunct(t, ";") || isPunct(t, "{") ||
-                   t.kind == TokenKind::String)
-            break; // not a template argument list after all
-    }
-    return open;
-}
-
-/** The dotted receiver spelling whose last token sits just before
- *  the `.`/`->` at `dot`, or "" for non-identifier receivers. */
-std::string
-receiverChain(const std::vector<Token> &toks, std::size_t dot)
-{
-    std::vector<std::string> parts;
-    std::size_t j = dot;
-    while (j > 0) {
-        if (toks[j - 1].kind != TokenKind::Identifier)
-            return "";
-        parts.push_back(toks[j - 1].text);
-        if (j < 2 || (!isPunct(toks[j - 2], ".") &&
-                      !isPunct(toks[j - 2], "->") &&
-                      !isPunct(toks[j - 2], "::")))
-            break;
-        j -= 2;
-    }
-    std::string out;
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-        if (!out.empty())
-            out += '.';
-        out += *it;
-    }
-    return out;
-}
-
-std::string
-lastComponent(const std::string &chain)
-{
-    const std::size_t dot = chain.rfind('.');
-    return dot == std::string::npos ? chain : chain.substr(dot + 1);
-}
-
-struct LSite
-{
-    int line = 0;
-    int column = 0;
-};
-
-/** One lock-relevant event of a function body, in token order. */
-struct LockEv
-{
-    enum class Kind
-    {
-        GuardAcquire,
-        GuardRelease,
-        GuardRelock,
-        RawLock,
-        RawUnlock,
-        Call, ///< apply the callee's net LockEffects
-    };
-    Kind kind = Kind::RawLock;
-    std::vector<std::string> resources;
-    const CallSite *call = nullptr;
-    std::size_t token = 0;
-    int line = 0;
-    int column = 0;
-};
-
-/** Mode-independent per-function lock facts, extracted once. */
-struct LockLocal
-{
-    Cfg cfg;
-    std::vector<std::vector<LockEv>> events; ///< per block
-    std::set<std::string> guardResources;
-    std::set<std::string> localLocks;
-    std::set<std::string> localUnlocks;
-    std::map<std::string, LSite> firstRawLock;
-};
-
-/** (held, released) dataflow element for the effect computation.
- *  heldMust ∩ / heldMay ∪ at joins track net acquisitions;
- *  relMust ∩ / relMay ∪ track releases of entry-held resources. */
-struct EffState
-{
-    bool reached = false;
-    std::set<std::string> heldMust;
-    std::set<std::string> heldMay;
-    std::set<std::string> relMust;
-    std::set<std::string> relMay;
-
-    bool operator==(const EffState &o) const = default;
-
-    bool meet(const EffState &pred)
-    {
-        if (!pred.reached)
-            return false;
-        if (!reached) {
-            *this = pred;
-            return true;
-        }
-        bool changed = false;
-        const auto intersect = [&](std::set<std::string> &mine,
-                                   const std::set<std::string> &th) {
-            for (auto it = mine.begin(); it != mine.end();)
-                if (th.count(*it) == 0) {
-                    it = mine.erase(it);
-                    changed = true;
-                } else
-                    ++it;
-        };
-        const auto unite = [&](std::set<std::string> &mine,
-                               const std::set<std::string> &th) {
-            for (const std::string &r : th)
-                changed |= mine.insert(r).second;
-        };
-        intersect(heldMust, pred.heldMust);
-        unite(heldMay, pred.heldMay);
-        intersect(relMust, pred.relMust);
-        unite(relMay, pred.relMay);
-        return changed;
-    }
-};
-
-// ---------------------------------------------------------------
 // The taint value and the two-mode interpreter
 // ---------------------------------------------------------------
 
@@ -323,7 +127,7 @@ class Interp
      *  filled this run; in Report mode `emit` receives every
      *  concrete flow. */
     void runFunction(FunctionRef ref, Mode mode,
-                     FunctionSummary *out, bool *summaryChanged,
+                     TaintSummary *out, bool *summaryChanged,
                      const std::function<void(SinkEvent)> *emit)
     {
         const FileModel &file = files_[ref.file];
@@ -449,7 +253,7 @@ class Interp
             if (call.begin < begin || call.end > end)
                 continue;
             for (const FunctionRef def : graph_.resolve(call)) {
-                const TaintSummary &ts = read_.of(def).taint;
+                const TaintSummary &ts = read_.of(def);
                 const FunctionModel &dfn =
                     files_[def.file].functions[def.fn];
                 bool used = false;
@@ -582,10 +386,10 @@ class Interp
     void processReturn(FunctionRef ref, const FunctionModel &fn,
                        const Statement &stmt,
                        const std::map<std::string, TaintVal> &vars,
-                       FunctionSummary *out, bool *summaryChanged,
+                       TaintSummary *out, bool *summaryChanged,
                        bool &changed)
     {
-        TaintSummary &ts = out->taint;
+        TaintSummary &ts = *out;
         const bool wantConcrete = !ts.returnTaint;
         const TaintVal v =
             evalExpr(ref.file, vars, stmt.expr.first,
@@ -635,7 +439,7 @@ class Interp
     void processCall(FunctionRef ref, const FunctionModel &,
                      const Statement &stmt, const CallSite &call,
                      const std::map<std::string, TaintVal> &vars,
-                     Mode mode, FunctionSummary *out,
+                     Mode mode, TaintSummary *out,
                      bool *summaryChanged,
                      const std::function<void(SinkEvent)> *emit,
                      bool &changed)
@@ -674,11 +478,11 @@ class Interp
                         f.sinkFile = file.path;
                         f.sinkLine = call.line;
                         f.sinkColumn = call.column;
-                        if (hasParamSink(out->taint, slot, f))
+                        if (hasParamSink(*out, slot, f))
                             continue;
                         f.hops = hops;
                         f.hops.push_back(sinkHop);
-                        out->taint.paramSinks.push_back(
+                        out->paramSinks.push_back(
                             std::move(f));
                         changed = true;
                         if (summaryChanged != nullptr)
@@ -700,7 +504,7 @@ class Interp
                 // summary being built, and the Build branch below
                 // appends to the same vector.
                 const std::vector<ParamSinkFlow> flows =
-                    read_.of(def).taint.paramSinks;
+                    read_.of(def).paramSinks;
                 for (const ParamSinkFlow &pf : flows) {
                     if (pf.param != ai)
                         continue;
@@ -730,14 +534,14 @@ class Interp
                             f.sinkFile = pf.sinkFile;
                             f.sinkLine = pf.sinkLine;
                             f.sinkColumn = pf.sinkColumn;
-                            if (hasParamSink(out->taint, slot, f))
+                            if (hasParamSink(*out, slot, f))
                                 continue;
                             f.hops = hops;
                             f.hops.push_back(bridge);
                             f.hops.insert(f.hops.end(),
                                           pf.hops.begin(),
                                           pf.hops.end());
-                            out->taint.paramSinks.push_back(
+                            out->paramSinks.push_back(
                                 std::move(f));
                             changed = true;
                             if (summaryChanged != nullptr)
@@ -745,407 +549,6 @@ class Interp
                         }
                 }
             }
-        }
-    }
-};
-
-// ---------------------------------------------------------------
-// Lock effects
-// ---------------------------------------------------------------
-
-class LockEffectBuilder
-{
-  public:
-    LockEffectBuilder(const std::vector<FileModel> &files,
-                      const CallGraph &graph)
-        : files_(files), graph_(graph)
-    {
-        collectDeclTypes();
-    }
-
-    /** Extract the mode-independent lock facts of one function
-     *  (done once; only the Call events' meanings change across
-     *  fixpoint passes). */
-    LockLocal extract(FunctionRef ref)
-    {
-        LockLocal out;
-        const FileModel &file = files_[ref.file];
-        const FunctionModel &fn = file.functions[ref.fn];
-        if (fn.bodyEnd <= fn.bodyBegin)
-            return out;
-        const auto &toks = file.lexed.tokens;
-        out.cfg = buildCfg(file, fn);
-        out.events.resize(out.cfg.blocks.size());
-
-        std::map<std::string, std::vector<std::string>> guardVars;
-        for (std::size_t b = 0; b < out.cfg.blocks.size(); ++b)
-            for (const CfgStmt &st : out.cfg.blocks[b].stmts)
-                extractFromStmt(toks, st.begin, st.end, guardVars,
-                                out, b);
-
-        // Call events, injected at the callee token and merged
-        // into token order with the lock events of the same block.
-        for (const Statement &stmt : fn.stmts)
-            for (const CallSite &call : stmt.calls)
-                placeCall(out, call);
-        for (auto &evs : out.events)
-            std::stable_sort(evs.begin(), evs.end(),
-                             [](const LockEv &a, const LockEv &b) {
-                                 return a.token < b.token;
-                             });
-        return out;
-    }
-
-    /** Compute the net effects of one function under the current
-     *  callee summaries. */
-    LockEffects compute(FunctionRef ref, const LockLocal &local,
-                        const SummarySet &sums)
-    {
-        LockEffects out;
-        out.localLocks = local.localLocks;
-        out.localUnlocks = local.localUnlocks;
-        if (local.events.empty())
-            return out;
-        const std::size_t n = local.cfg.blocks.size();
-
-        std::vector<std::vector<std::size_t>> preds(n);
-        for (std::size_t b = 0; b < n; ++b)
-            for (const std::size_t s : local.cfg.blocks[b].succs)
-                preds[s].push_back(b);
-
-        std::vector<EffState> in(n);
-        std::vector<EffState> outState(n);
-        in[Cfg::kEntry].reached = true;
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (std::size_t b = 0; b < n; ++b) {
-                for (const std::size_t p : preds[b])
-                    changed |= in[b].meet(outState[p]);
-                if (!in[b].reached)
-                    continue;
-                EffState s = in[b];
-                for (const LockEv &ev : local.events[b])
-                    apply(s, ev, sums);
-                if (!(s == outState[b])) {
-                    outState[b] = std::move(s);
-                    changed = true;
-                }
-            }
-        }
-
-        const EffState &exit = in[Cfg::kExit];
-        if (!exit.reached)
-            return out;
-        const auto keep = [&](const std::set<std::string> &src,
-                              std::set<std::string> &dst) {
-            for (const std::string &r : src)
-                if (local.guardResources.count(r) == 0)
-                    dst.insert(r);
-        };
-        keep(exit.heldMust, out.mustAcquire);
-        keep(exit.heldMay, out.mayAcquire);
-        keep(exit.relMust, out.mustRelease);
-        keep(exit.relMay, out.mayRelease);
-        buildAcquireChains(ref, local, sums, out);
-        return out;
-    }
-
-    const LockEffects *effectsFor(const CallSite &call,
-                                  const SummarySet &sums) const
-    {
-        for (const FunctionRef def : graph_.resolve(call)) {
-            const LockEffects &e = sums.of(def).locks;
-            if (e.hasNetEffect())
-                return &e;
-        }
-        return nullptr;
-    }
-
-  private:
-    const std::vector<FileModel> &files_;
-    const CallGraph &graph_;
-    /** name → last type-word of its declaration, over all files
-     *  (same heuristic the concurrency pass uses to classify
-     *  guard-variable receivers). */
-    std::map<std::string, std::string> declType_;
-
-    void collectDeclTypes()
-    {
-        for (const FileModel &file : files_) {
-            const auto &toks = file.lexed.tokens;
-            for (std::size_t j = 0; j + 1 < toks.size(); ++j) {
-                if (toks[j].kind != TokenKind::Identifier)
-                    continue;
-                if (j > 0 && (isPunct(toks[j - 1], ".") ||
-                              isPunct(toks[j - 1], "->")))
-                    continue;
-                std::size_t k = j + 1;
-                if (isPunct(toks[k], "<")) {
-                    const std::size_t past =
-                        skipAngles(toks, k, toks.size());
-                    if (past == k)
-                        continue;
-                    k = past;
-                }
-                if (k >= toks.size() ||
-                    toks[k].kind != TokenKind::Identifier)
-                    continue;
-                if (k + 1 >= toks.size())
-                    continue;
-                const Token &after = toks[k + 1];
-                if (!isPunct(after, ";") && !isPunct(after, "=") &&
-                    !isPunct(after, "{") && !isPunct(after, "(") &&
-                    !isPunct(after, ","))
-                    continue;
-                declType_[toks[k].text] = toks[j].text;
-            }
-        }
-    }
-
-    void extractFromStmt(
-        const std::vector<Token> &toks, std::size_t b,
-        std::size_t e,
-        std::map<std::string, std::vector<std::string>> &guardVars,
-        LockLocal &out, std::size_t block)
-    {
-        for (std::size_t j = b; j < e; ++j) {
-            const Token &t = toks[j];
-            // RAII guard declaration.
-            if (t.kind == TokenKind::Identifier &&
-                contains(kGuardTypes, t.text)) {
-                std::size_t k = j + 1;
-                if (k < e && isPunct(toks[k], "<")) {
-                    const std::size_t past = skipAngles(toks, k, e);
-                    if (past == k)
-                        continue;
-                    k = past;
-                }
-                if (k >= e ||
-                    toks[k].kind != TokenKind::Identifier)
-                    continue;
-                const std::string var = toks[k].text;
-                if (k + 1 >= e || (!isPunct(toks[k + 1], "(") &&
-                                   !isPunct(toks[k + 1], "{")))
-                    continue;
-                const bool paren = isPunct(toks[k + 1], "(");
-                const std::size_t close =
-                    paren ? matchParen(toks, k + 1, e)
-                          : matchBrace(toks, k + 1, e);
-                std::vector<std::string> resources;
-                std::size_t argStart = k + 2;
-                for (std::size_t a = argStart; a <= close; ++a) {
-                    if (a == close || (isPunct(toks[a], ",") &&
-                                       a > argStart)) {
-                        std::size_t s = argStart;
-                        while (s < a && (isPunct(toks[s], "*") ||
-                                         isPunct(toks[s], "&")))
-                            ++s;
-                        std::string res;
-                        while (s < a) {
-                            if (toks[s].kind ==
-                                TokenKind::Identifier) {
-                                if (!res.empty())
-                                    res += '.';
-                                res += toks[s].text;
-                                if (s + 2 < a &&
-                                    (isPunct(toks[s + 1], ".") ||
-                                     isPunct(toks[s + 1], "->") ||
-                                     isPunct(toks[s + 1], "::"))) {
-                                    s += 2;
-                                    continue;
-                                }
-                            }
-                            break;
-                        }
-                        if (!res.empty() &&
-                            res.find("defer_lock") ==
-                                std::string::npos)
-                            resources.push_back(res);
-                        argStart = a + 1;
-                    }
-                }
-                guardVars[var] = resources;
-                if (!resources.empty()) {
-                    for (const std::string &r : resources)
-                        out.guardResources.insert(r);
-                    LockEv ev;
-                    ev.kind = LockEv::Kind::GuardAcquire;
-                    ev.resources = resources;
-                    ev.token = j;
-                    ev.line = t.line;
-                    ev.column = t.column;
-                    out.events[block].push_back(std::move(ev));
-                }
-                j = close;
-                continue;
-            }
-            // Member lock/unlock.
-            if ((isPunct(t, ".") || isPunct(t, "->")) &&
-                j + 2 < e &&
-                toks[j + 1].kind == TokenKind::Identifier &&
-                isPunct(toks[j + 2], "(")) {
-                const std::string &method = toks[j + 1].text;
-                if (method != "lock" && method != "unlock")
-                    continue;
-                const std::string recv = receiverChain(toks, j);
-                if (recv.empty())
-                    continue;
-                LockEv ev;
-                ev.token = j + 1;
-                ev.line = toks[j + 1].line;
-                ev.column = toks[j + 1].column;
-                const auto guard = guardVars.find(recv);
-                const auto type =
-                    declType_.find(lastComponent(recv));
-                const bool isGuardVar =
-                    guard != guardVars.end() ||
-                    (type != declType_.end() &&
-                     contains(kGuardTypes, type->second));
-                if (isGuardVar) {
-                    if (guard == guardVars.end() ||
-                        guard->second.empty())
-                        continue; // resources unknown
-                    ev.resources = guard->second;
-                    ev.kind = method == "lock"
-                                  ? LockEv::Kind::GuardRelock
-                                  : LockEv::Kind::GuardRelease;
-                } else {
-                    ev.resources = {recv};
-                    if (method == "lock") {
-                        ev.kind = LockEv::Kind::RawLock;
-                        out.localLocks.insert(recv);
-                        out.firstRawLock.try_emplace(
-                            recv, LSite{ev.line, ev.column});
-                    } else {
-                        ev.kind = LockEv::Kind::RawUnlock;
-                        out.localUnlocks.insert(recv);
-                    }
-                }
-                out.events[block].push_back(std::move(ev));
-            }
-        }
-    }
-
-    void placeCall(LockLocal &out, const CallSite &call)
-    {
-        for (std::size_t b = 0; b < out.cfg.blocks.size(); ++b)
-            for (const CfgStmt &st : out.cfg.blocks[b].stmts)
-                if (call.begin >= st.begin && call.begin < st.end) {
-                    LockEv ev;
-                    ev.kind = LockEv::Kind::Call;
-                    ev.call = &call;
-                    ev.token = call.begin;
-                    ev.line = call.line;
-                    ev.column = call.column;
-                    out.events[b].push_back(std::move(ev));
-                    return;
-                }
-    }
-
-    void apply(EffState &s, const LockEv &ev,
-               const SummarySet &sums) const
-    {
-        switch (ev.kind) {
-        case LockEv::Kind::GuardAcquire:
-        case LockEv::Kind::GuardRelock:
-        case LockEv::Kind::RawLock:
-            for (const std::string &r : ev.resources) {
-                s.heldMust.insert(r);
-                s.heldMay.insert(r);
-            }
-            break;
-        case LockEv::Kind::GuardRelease:
-        case LockEv::Kind::RawUnlock:
-            for (const std::string &r : ev.resources) {
-                if (s.heldMay.count(r) != 0) {
-                    s.heldMust.erase(r);
-                    s.heldMay.erase(r);
-                } else {
-                    // Releases a lock the caller held at entry.
-                    s.relMust.insert(r);
-                    s.relMay.insert(r);
-                }
-            }
-            break;
-        case LockEv::Kind::Call: {
-            const LockEffects *eff = effectsFor(*ev.call, sums);
-            if (eff == nullptr)
-                break;
-            for (const std::string &r : eff->mustRelease) {
-                if (s.heldMay.count(r) != 0) {
-                    s.heldMust.erase(r);
-                    s.heldMay.erase(r);
-                } else {
-                    s.relMust.insert(r);
-                    s.relMay.insert(r);
-                }
-            }
-            for (const std::string &r : eff->mayRelease) {
-                if (eff->mustRelease.count(r) != 0)
-                    continue;
-                s.heldMust.erase(r);
-                if (s.heldMay.count(r) == 0)
-                    s.relMay.insert(r);
-            }
-            for (const std::string &r : eff->mustAcquire) {
-                s.heldMust.insert(r);
-                s.heldMay.insert(r);
-            }
-            for (const std::string &r : eff->mayAcquire)
-                if (eff->mustAcquire.count(r) == 0)
-                    s.heldMay.insert(r);
-            break;
-        }
-        }
-    }
-
-    /** Explain each net acquisition: the local raw-lock site, or
-     *  the first call (block/token order) that bubbles it up, with
-     *  the callee's own chain prepended (capped to keep paths
-     *  readable). */
-    void buildAcquireChains(FunctionRef ref,
-                            const LockLocal &local,
-                            const SummarySet &sums,
-                            LockEffects &out) const
-    {
-        const FileModel &file = files_[ref.file];
-        for (const std::string &r : out.mayAcquire) {
-            if (const auto site = local.firstRawLock.find(r);
-                site != local.firstRawLock.end()) {
-                out.acquireChain[r] = {
-                    {file.path, site->second.line,
-                     site->second.column,
-                     "raw lock acquired here"}};
-                continue;
-            }
-            for (std::size_t b = 0;
-                 b < local.events.size() &&
-                 out.acquireChain.count(r) == 0;
-                 ++b)
-                for (const LockEv &ev : local.events[b]) {
-                    if (ev.kind != LockEv::Kind::Call)
-                        continue;
-                    const LockEffects *eff =
-                        effectsFor(*ev.call, sums);
-                    if (eff == nullptr ||
-                        (eff->mustAcquire.count(r) == 0 &&
-                         eff->mayAcquire.count(r) == 0))
-                        continue;
-                    std::vector<FlowHop> chain;
-                    if (const auto it = eff->acquireChain.find(r);
-                        it != eff->acquireChain.end())
-                        chain = it->second;
-                    chain.push_back(
-                        {file.path, ev.line, ev.column,
-                         "call to '" + ev.call->callee +
-                             "()' leaves '" + r + "' locked"});
-                    if (chain.size() > 6)
-                        chain.erase(chain.begin(),
-                                    chain.end() - 6);
-                    out.acquireChain[r] = std::move(chain);
-                    break;
-                }
         }
     }
 };
@@ -1215,15 +618,6 @@ tarjanSccs(const std::vector<std::vector<std::size_t>> &adj)
         }
     }
     return sccs;
-}
-
-bool
-lockEffectsDiffer(const LockEffects &a, const LockEffects &b)
-{
-    return a.mustAcquire != b.mustAcquire ||
-           a.mayAcquire != b.mayAcquire ||
-           a.mustRelease != b.mustRelease ||
-           a.mayRelease != b.mayRelease;
 }
 
 } // namespace
@@ -1406,10 +800,6 @@ computeSummaries(const std::vector<FileModel> &files,
         tarjanSccs(adj);
 
     Interp interp(files, graph, out);
-    LockEffectBuilder lockBuilder(files, graph);
-    std::vector<LockLocal> locals(n);
-    for (std::size_t v = 0; v < n; ++v)
-        locals[v] = lockBuilder.extract(refs[v]);
 
     SummaryStats &st = out.stats_;
     st.functions = n;
@@ -1426,16 +816,10 @@ computeSummaries(const std::vector<FileModel> &files,
 
         const auto runMember = [&](std::size_t v) {
             const FunctionRef ref = refs[v];
-            FunctionSummary &sum =
-                out.byFile_[ref.file][ref.fn];
             bool changed = false;
-            interp.runFunction(ref, Interp::Mode::Build, &sum,
+            interp.runFunction(ref, Interp::Mode::Build,
+                               &out.byFile_[ref.file][ref.fn],
                                &changed, nullptr);
-            LockEffects eff =
-                lockBuilder.compute(ref, locals[v], out);
-            if (lockEffectsDiffer(eff, sum.locks))
-                changed = true;
-            sum.locks = std::move(eff);
             return changed;
         };
 
@@ -1456,14 +840,12 @@ computeSummaries(const std::vector<FileModel> &files,
     }
 
     for (std::size_t v = 0; v < n; ++v) {
-        const FunctionSummary &sum =
+        const TaintSummary &sum =
             out.byFile_[refs[v].file][refs[v].fn];
-        if (sum.taint.returnTaint)
+        if (sum.returnTaint)
             ++st.returnTaints;
-        st.paramReturnFlows += sum.taint.paramToReturn.size();
-        st.paramSinkFlows += sum.taint.paramSinks.size();
-        if (sum.locks.hasNetEffect())
-            ++st.lockEffects;
+        st.paramReturnFlows += sum.paramToReturn.size();
+        st.paramSinkFlows += sum.paramSinks.size();
     }
     return out;
 }

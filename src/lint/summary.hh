@@ -2,40 +2,30 @@
  * @file
  * Interprocedural function summaries for netchar-lint.
  *
- * The taint and concurrency passes used to reason about one function
- * at a time and stitch results together with ad-hoc worklists. This
- * module computes, once per function, a closed *summary* of its
- * externally visible behavior:
- *
- *  - taint transfer: whether a nondeterminism source inside the body
- *    reaches the return value (`returnTaint`), which parameters flow
- *    to the return value (`paramToReturn`), and which parameters
- *    reach a serialization sink anywhere in the body — directly or
- *    through further calls (`paramSinks`);
- *  - lock effects: the net set of lock resources a call to the
- *    function acquires or releases (`mustAcquire`/`mustRelease` on
- *    every path, `mayAcquire`/`mayRelease` on some path), with RAII
- *    guards excluded because their destructors make them net-zero.
+ * A per-function analysis loses a taint at every call boundary.
+ * This module computes, once per function, a closed *summary* of its
+ * taint transfer, so callers compose it instead of inlining: whether
+ * a nondeterminism source inside the body reaches the return value
+ * (`returnTaint`), which parameters flow to the return value
+ * (`paramToReturn`), and which parameters reach a serialization sink
+ * anywhere in the body — directly or through further calls
+ * (`paramSinks`).
  *
  * Summaries are computed bottom-up over the Tarjan strongly-
  * connected components of the call graph: a function's summary only
  * depends on summaries of its callees, so processing SCCs in
  * reverse topological order needs a fixpoint only *inside* a cycle.
  * Within an SCC the taint slots are fill-once (monotone growth ⇒
- * guaranteed termination) and the lock effects iterate to a fixed
- * point under a deterministic iteration cap.
+ * guaranteed termination) under a deterministic iteration cap.
  *
- * Consumers: taint.cc composes `paramSinks`/`returnTaint` at call
+ * Consumer: taint.cc composes `paramSinks`/`returnTaint` at call
  * sites so a source→sink chain spanning any number of helper
- * functions is reported without inlining, and concurrency.cc turns
- * `LockEffects` into call events in its lockset dataflow so a mutex
- * locked in `acquire()` and released in `release()` is tracked
- * through the callers that pair them.
+ * functions is reported without inlining.
  *
  * Determinism contract (same as every lint layer): files arrive in
  * sorted order, SCC member order and every container iteration is
  * fixed, so identical inputs produce identical summaries — and
- * identical reports — on every run at any `--jobs` value.
+ * identical reports — on every run.
  */
 
 #ifndef NETCHAR_LINT_SUMMARY_HH
@@ -45,7 +35,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -129,7 +118,7 @@ struct ParamSinkFlow
     std::vector<FlowHop> hops;
 };
 
-/** Taint transfer behavior of one function. */
+/** The closed summary of one function: its taint transfer. */
 struct TaintSummary
 {
     /** A source inside the body reaches the return value; the path
@@ -142,41 +131,7 @@ struct TaintSummary
     std::vector<ParamSinkFlow> paramSinks;
 };
 
-/** Net lock effects of calling one function, RAII guards excluded.
- *  Resources are receiver spellings, the same namespace the
- *  concurrency pass uses. */
-struct LockEffects
-{
-    /** Held at exit on every / some path (net acquisitions). */
-    std::set<std::string> mustAcquire;
-    std::set<std::string> mayAcquire;
-    /** Entry-held resources released on every / some path. */
-    std::set<std::string> mustRelease;
-    std::set<std::string> mayRelease;
-    /** Resources this function itself raw-locks / raw-unlocks
-     *  anywhere in its body (syntactic, for wrapper pairing). */
-    std::set<std::string> localLocks;
-    std::set<std::string> localUnlocks;
-    /** resource → hops explaining where a net acquisition
-     *  ultimately happens (innermost raw lock site first, then the
-     *  call sites it bubbled through). */
-    std::map<std::string, std::vector<FlowHop>> acquireChain;
-
-    bool hasNetEffect() const
-    {
-        return !mustAcquire.empty() || !mayAcquire.empty() ||
-               !mustRelease.empty() || !mayRelease.empty();
-    }
-};
-
-/** The closed summary of one function. */
-struct FunctionSummary
-{
-    TaintSummary taint;
-    LockEffects locks;
-};
-
-/** Aggregate statistics, surfaced in the schema-v4 JSON report. */
+/** Aggregate statistics, surfaced in the schema-v5 JSON report. */
 struct SummaryStats
 {
     std::size_t functions = 0;
@@ -187,15 +142,13 @@ struct SummaryStats
     std::size_t returnTaints = 0;
     std::size_t paramReturnFlows = 0;
     std::size_t paramSinkFlows = 0;
-    /** Functions with a non-empty net lock effect. */
-    std::size_t lockEffects = 0;
 };
 
 /** Summaries for every function of a parsed file set. */
 class SummarySet
 {
   public:
-    const FunctionSummary &of(FunctionRef ref) const
+    const TaintSummary &of(FunctionRef ref) const
     {
         return byFile_[ref.file][ref.fn];
     }
@@ -204,7 +157,7 @@ class SummarySet
   private:
     friend SummarySet computeSummaries(const std::vector<FileModel> &,
                                        const CallGraph &);
-    std::vector<std::vector<FunctionSummary>> byFile_;
+    std::vector<std::vector<TaintSummary>> byFile_;
     SummaryStats stats_;
 };
 

@@ -3,9 +3,6 @@
 #include <set>
 #include <sstream>
 
-#include "lint/callgraph.hh"
-#include "lint/summary.hh"
-
 namespace netchar::lint
 {
 
@@ -62,21 +59,6 @@ flowRuleSummary(std::string_view rule)
     if (rule == "flow-threadid")
         return "a thread-id value flows into serialized output";
     return {};
-}
-
-TaintAnalysis
-analyzeTaint(const std::vector<FileModel> &files)
-{
-    const CallGraph graph(files);
-    return analyzeTaint(files, graph);
-}
-
-TaintAnalysis
-analyzeTaint(const std::vector<FileModel> &files,
-             const CallGraph &graph)
-{
-    const SummarySet sums = computeSummaries(files, graph);
-    return analyzeTaint(files, graph, sums);
 }
 
 TaintAnalysis

@@ -97,6 +97,7 @@ class ResultCache
      * leave a half-written file where a valid one was. Returns false
      * with a message in `error` on I/O failure.
      */
+    [[nodiscard]]
     bool save(const std::string &path, std::string &error) const;
 
     /**
@@ -105,6 +106,7 @@ class ResultCache
      * malformed or version-mismatched file is (the daemon should
      * refuse to serve from a cache it cannot trust).
      */
+    [[nodiscard]]
     bool load(const std::string &path, std::string &error);
 
   private:

@@ -87,14 +87,17 @@ class CacheJournal
     /** Open `path` for appending (writing the header when the file
      *  is new or empty). False with a message in `error` on I/O
      *  failure. */
+    [[nodiscard]]
     bool open(const std::string &path, std::string &error);
 
     /** Append one insert record and flush it to the OS. */
+    [[nodiscard]]
     bool append(const std::string &key, const std::string &body,
                 std::string &error);
 
     /** Truncate back to a bare header (after a checkpoint has made
      *  the journaled inserts redundant). */
+    [[nodiscard]]
     bool reset(std::string &error);
 
     /** Current journal size in bytes (0 when closed). */

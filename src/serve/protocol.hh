@@ -93,6 +93,7 @@ struct JsonValue
  * in `error` on malformed input (trailing bytes after the document
  * are an error too — a request line is exactly one object).
  */
+[[nodiscard]]
 bool parseJson(std::string_view text, JsonValue &out,
                std::string &error);
 

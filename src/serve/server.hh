@@ -148,6 +148,7 @@ class Server
      * the journal). Returns false with a message in `error` on any
      * failure; the daemon must not half-start.
      */
+    [[nodiscard]]
     bool start(std::string &error);
 
     /** Resolved listen address (TCP port 0 filled in). Valid after
@@ -238,6 +239,7 @@ class Server
      *  when the journal is over budget. */
     void recordInsert(const std::string &key, const std::string &body);
     /** Snapshot the cache (temp+rename) and reset the journal. */
+    [[nodiscard]]
     bool checkpoint(std::string &error);
     /** Send one response frame, applying any wire fault the chaos
      *  plan assigns to this response sequence number. */

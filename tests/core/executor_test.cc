@@ -160,7 +160,6 @@ TEST(ExecutorTest, SerialConcurrencyRunsOnCallingThread)
     Executor ex(1);
     EXPECT_EQ(ex.concurrency(), 1u);
     int worker = -2;
-    // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
     ex.forEach(1, [&](std::size_t) { worker = Executor::workerId(); });
     EXPECT_EQ(worker, 0);
     EXPECT_EQ(Executor::workerId(), -1); // restored outside forEach

@@ -448,12 +448,20 @@ TEST(Pragma, EmptyReasonAfterDashesRejected)
 
 TEST(Pragma, UnknownRuleRejected)
 {
-    const auto r = lintSource(
-        "src/core/fixture.cc",
-        "// netchar-lint: allow(no-such-rule) -- typo\n"
-        "int x;\n");
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].rule, "bad-pragma");
+    // A typo, plus the retired concurrency rules: their names are no
+    // longer valid suppression targets.
+    for (const char *rule :
+         {"no-such-rule", "race-shared-write", "lock-leak",
+          "guard-discipline", "atomic-mixed-access",
+          "flow-unchecked-error"}) {
+        const auto r = lintSource(
+            "src/core/fixture.cc",
+            std::string("// netchar-lint: allow(") + rule +
+                ") -- typo\n"
+                "int x;\n");
+        ASSERT_EQ(r.findings.size(), 1u) << rule;
+        EXPECT_EQ(r.findings[0].rule, "bad-pragma") << rule;
+    }
 }
 
 TEST(Pragma, CommaListSuppressesSeveralRules)
@@ -520,7 +528,7 @@ TEST(Report, JsonSchema)
         "src/sim/fixture.cc",
         "auto t = std::chrono::steady_clock::now();\n");
     const std::string json = netchar::lint::renderJson(r);
-    EXPECT_NE(json.find("\"version\": 4"), std::string::npos);
+    EXPECT_NE(json.find("\"version\": 5"), std::string::npos);
     EXPECT_NE(json.find("\"filesScanned\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"rule\": \"no-wallclock\""),
               std::string::npos);

@@ -353,7 +353,7 @@ TEST(Taint, JsonReportHasFlowsArray)
           "  row += csvField(t);\n"
           "}\n"}});
     const std::string json = netchar::lint::renderJson(r);
-    EXPECT_NE(json.find("\"version\": 4"), std::string::npos);
+    EXPECT_NE(json.find("\"version\": 5"), std::string::npos);
     EXPECT_NE(json.find("\"flows\": ["), std::string::npos);
     EXPECT_NE(json.find("\"rule\": \"flow-wallclock\""),
               std::string::npos);

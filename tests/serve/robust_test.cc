@@ -615,17 +615,14 @@ TEST(Admission, RequestBudgetShedsWithRetryHint)
         }
         const int fd = rawConnect(server.address());
         if (fd < 0) {
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             failure = "connect failed";
         } else {
             std::string blob;
             for (std::size_t i = 0; i < kBurst; ++i)
                 blob += "{\"verb\":\"ping\"}\n";
             if (!rawSend(fd, blob))
-                // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
                 failure = "send failed";
             else
-                // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
                 lines = rawReadLines(fd, kBurst);
             rawSend(fd, "{\"verb\":\"shutdown\"}\n");
             rawReadLines(fd, 1);
@@ -688,7 +685,6 @@ TEST(Admission, ByteBudgetSheds)
             for (std::size_t i = 0; i < kBurst; ++i)
                 blob += "{\"verb\":\"ping\"}\n"; // 15 bytes a line
             rawSend(fd, blob);
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             lines = rawReadLines(fd, kBurst);
             rawSend(fd, "{\"verb\":\"shutdown\"}\n");
             rawReadLines(fd, 1);
@@ -729,10 +725,8 @@ TEST(Admission, OversizedLineGetsErrorAndClose)
         const int fd = rawConnect(server.address());
         if (fd >= 0) {
             rawSend(fd, std::string(200, 'x') + "\n");
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             lines = rawReadLines(fd, 1);
             char byte = 0;
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             peerClosed = ::recv(fd, &byte, 1, 0) == 0;
             ::close(fd);
         }
@@ -864,7 +858,6 @@ TEST(Drain, SigtermFinishesWorkPersistsAndExitsZero)
     Executor executor(2);
     executor.forEach(2, [&](std::size_t task) {
         if (task == 0) {
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             rc = server.serve();
             return;
         }
@@ -875,10 +868,8 @@ TEST(Drain, SigtermFinishesWorkPersistsAndExitsZero)
         Client client(copts);
         std::string response, err;
         if (!client.request(line, response, err)) {
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             failure = "run: " + err;
         } else {
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             body = response.substr(response.find(",\"body\":"));
         }
         // The operator's kill -TERM: the in-flight work above is
@@ -1026,16 +1017,12 @@ TEST(Chaos, ClientReassemblesByteIdenticalBodies)
         Client client(copts);
         std::string response, err;
         if (!client.request(lineA, response, err))
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             failure = "A: " + err;
         else
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             bodyA = response.substr(response.find(",\"body\":"));
         if (!client.request(lineB, response, err))
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             failure += " B: " + err;
         else
-            // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
             bodyB = response.substr(response.find(",\"body\":"));
         // The shutdown answer may itself be torn by chaos; one
         // attempt is enough because the verb takes effect on
@@ -1096,7 +1083,6 @@ expectChaosShardMergeMatchesClean(const std::string &machine)
             Client client(copts);
             std::string response, err;
             if (!client.request(line, response, err)) {
-                // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
                 failure = "sweep: " + err;
             } else {
                 JsonValue doc;
@@ -1105,7 +1091,6 @@ expectChaosShardMergeMatchesClean(const std::string &machine)
                     !doc.find("ok")->boolean ||
                     !parseSweepBody(*doc.find("body"), partials[s],
                                     err))
-                    // netchar-lint: allow(race-shared-write) -- task-disjoint: only this task writes it and forEach joins before the read
                     failure = "bad sweep response: " + err;
             }
             ClientOptions byeOpts = copts;
